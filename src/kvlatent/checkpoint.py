@@ -93,15 +93,21 @@ def load_checkpoint(path) -> Checkpoint:
     with open(path, "rb") as f:
         if f.read(4) != _MAGIC:
             raise DataFormatError(f"{path}: not a checkpoint file")
-        version = int(np.frombuffer(f.read(4), dtype=np.uint32)[0])
-        if version != FORMAT_VERSION:
-            raise DataFormatError(f"{path}: checkpoint version {version}, "
-                                  f"this build reads {FORMAT_VERSION}")
-        hlen = int(np.frombuffer(f.read(8), dtype=np.uint64)[0])
-        header = json.loads(f.read(hlen).decode("utf-8"))
-        payload = f.read()
+        preamble = f.read(12)
+        rest = f.read()
+    if len(preamble) != 12:
+        raise DataFormatError(f"{path}: truncated checkpoint preamble")
+    version = int(np.frombuffer(preamble[:4], dtype=np.uint32)[0])
+    if version != FORMAT_VERSION:
+        raise DataFormatError(f"{path}: checkpoint version {version}, "
+                              f"this build reads {FORMAT_VERSION}")
+    hlen = int(np.frombuffer(preamble[4:], dtype=np.uint64)[0])
+    if hlen > len(rest):
+        raise DataFormatError(f"{path}: truncated checkpoint header")
+    payload = rest[hlen:]
 
     try:
+        header = json.loads(rest[:hlen].decode("utf-8"))
         mode = InjectionMode(header["mode"])
         config = ModelConfig(**header["model"])
         tensors = {}

@@ -12,7 +12,7 @@ import configparser
 import os
 from dataclasses import dataclass, field
 
-from .engine import InjectionMode, TRAINING_MODES
+from .engine import InjectionMode
 from .errors import ContractError
 from .model import ModelConfig
 from .tasks.tokenizer import VOCAB_SIZE
@@ -46,7 +46,6 @@ class TrainConfig:
     total_steps: int = 100
     epochs: int = 1
     log_every: int = 20
-    checkpoint_every: int = 0
     eval_batch: int = 8
     max_eval_windows: int = 64
 
@@ -79,10 +78,6 @@ class RunConfig:
         if self.task not in TASKS:
             raise ContractError(f"run: unknown task {self.task!r}, "
                                 f"expected one of {TASKS}")
-        if self.mode not in TRAINING_MODES:
-            raise ContractError(
-                f"run: mode {self.mode.value} is not trainable; training "
-                f"modes: {[m.value for m in TRAINING_MODES]}")
         if not self.out_dir:
             raise ContractError("run: out_dir is required")
         if self.curriculum is not None:
@@ -117,7 +112,7 @@ _SCHEMA: dict[str, dict[str, type]] = {
     "optimizer": {"lr": float, "beta1": float, "beta2": float, "eps": float,
                   "weight_decay": float, "warmup_steps": int},
     "train": {"batch_size": int, "total_steps": int, "epochs": int,
-              "log_every": int, "checkpoint_every": int, "eval_batch": int,
+              "log_every": int, "eval_batch": int,
               "max_eval_windows": int},
     "curriculum": {"enabled": bool, "n_stages": int, "latents_per_step": int,
                    "epochs_per_stage": int},

@@ -12,20 +12,31 @@ passes:
      with the latents injected, either re-fed as input embeddings or
      appended to the cache per layer.
 
-The soft-embedding baseline runs one model and two passes (no coprocessor);
-sequential_rollout reproduces the cost model of emitting latents one at a
-time (N_L + 1 passes) and exists for pass accounting, not training.
+The soft-embedding baseline runs one model and two passes (no coprocessor).
+
+The schedule is written once, as packed passes over any number of
+sequences (_prefix_forward, _coprocessor_forward, _decode_forward). These
+are the only code that builds a pass's input rows, block-diagonal mask,
+positions, latent injection and PassCounter tick. training.run_three_pass
+runs them for a batch through _run_schedule. base_prefix_pass,
+coprocessor_pass, decode_pass, soft_embedding_pass and the first decode of
+generate_greedy run them for one sequence; after that first decode,
+generation is plain cached one-token decoding.
+
+sequential_rollout is a cost model of emitting latents one at a time
+(N_L + 1 passes); the passcount command compares it with the schedule.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
 from . import tensor as T
-from .errors import ContractError
+from .errors import ContractError, ShapeError
 from .masks import (AugmentationPlan, build_attention_mask, causal_mask,
                     decode_mask_cache_concat)
 from .model import (ModelCache, ModelParams, concat_cache, detach_cache,
@@ -39,7 +50,6 @@ class InjectionMode(str, Enum):
     CACHE_CONCAT_FROZEN_BASE = "cache_concat_frozen_base"
     EMBEDDING_COFINETUNED = "embedding_cofinetuned"
     SOFT_EMBEDDING_UNIFIED = "soft_embedding_unified"
-    SEQUENTIAL_ROLLOUT = "sequential_rollout"
 
 
 DUAL_MODES = (InjectionMode.EMBEDDING_FROZEN_BASE,
@@ -138,7 +148,176 @@ def rollout_speedup(n_latents: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# the three passes
+# the packed schedule, for any number of sequences at once (module docstring)
+
+
+def _offsets(sizes) -> np.ndarray:
+    return np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
+
+
+def _pack_blocks(blocks: list[np.ndarray], col_offsets: list[list[tuple[int, int]]],
+                 total_cols: int) -> np.ndarray:
+    """Assemble per-sequence masks into one block mask. blocks[b] is the
+    local mask; col_offsets[b] lists (global_start, width) segments covering
+    the local columns in order."""
+    rows = sum(b.shape[0] for b in blocks)
+    out = np.zeros((rows, total_cols), dtype=bool)
+    r = 0
+    for b, segs in zip(blocks, col_offsets):
+        c = 0
+        for start, width in segs:
+            out[r:r + b.shape[0], start:start + width] = b[:, c:c + width]
+            c += width
+        r += b.shape[0]
+    return out
+
+
+def _bank_rows(bank: SoftTokenBank, n_latents: int) -> T.TensorNode:
+    """The first n_latents soft tokens, as a fresh graph node. Curriculum
+    stages train a growing prefix of a bank sized for the final stage."""
+    if n_latents > bank.n_latents:
+        raise ContractError(f"bank has {bank.n_latents} slots, "
+                            f"plan wants {n_latents}")
+    if n_latents == bank.n_latents:
+        return bank.embeddings
+    return T.slice_block(bank.embeddings, 0, n_latents, 0, bank.d_model)
+
+
+def _packed_forward(params: ModelParams, inputs: T.TensorNode,
+                    past: ModelCache | None, blocks: list[np.ndarray],
+                    past_segments: list[list[tuple[int, int]]],
+                    positions: list[np.ndarray], label: str,
+                    counter: PassCounter | None):
+    """One full pass over several sequences' rows. Sequence b owns the next
+    blocks[b].shape[0] input rows; its local mask has one column per cached
+    row of its (start, width) segments of past, in order, then one per own
+    row. The packed mask keeps the sequences independent."""
+    p_len = past.length() if past is not None else 0
+    need = sum(w for segs in past_segments for _, w in segs)
+    if need != p_len:
+        raise ShapeError("forward", f"a cache of {need} rows", f"{p_len} rows")
+    row_off = _offsets([b.shape[0] for b in blocks])
+    mask = _pack_blocks(
+        blocks, [segs + [(p_len + int(row_off[b]), blk.shape[0])]
+                 for b, (blk, segs) in enumerate(zip(blocks, past_segments))],
+        p_len + int(row_off[-1]))
+    out = forward(params, inputs, past, mask, np.concatenate(positions))
+    if counter is not None:
+        counter.tick(int(row_off[-1]), label)
+    return out
+
+
+def _prefix_forward(base: ModelParams, prefixes: list[np.ndarray],
+                    counter: PassCounter | None) -> ModelCache:
+    """Pass 1: every prefix, causally, in one forward; only the cache
+    survives, sequence after sequence."""
+    lens = [p.size for p in prefixes]
+    emb = embed_tokens(base, np.concatenate(prefixes))
+    _, entries, _ = _packed_forward(
+        base, emb, None, [causal_mask(n) for n in lens], [[] for _ in lens],
+        [np.arange(n, dtype=np.int64) for n in lens], "base_prefix", counter)
+    return entries
+
+
+def _coprocessor_forward(coproc: ModelParams, prefix_cache: ModelCache,
+                         bank: SoftTokenBank, plans: list[AugmentationPlan],
+                         counter: PassCounter | None
+                         ) -> tuple[ModelCache, T.TensorNode]:
+    """Pass 2: every site of every sequence in one forward, seeded with the
+    soft tokens. Returns the rows' cache entries and final hidden states
+    (the latents), sequence-major then site-major."""
+    if sum(p.latent_rows for p in plans):
+        parts: list[T.TensorNode] = []
+        for p in plans:
+            parts += [_bank_rows(bank, p.n_latents)] * p.n_sites
+        inputs = T.concat_rows(parts)
+    else:
+        inputs = T.tensor(np.zeros((0, coproc.config.d_model)),
+                          dtype=bank.embeddings.values.dtype)
+    p_off = _offsets([p.cached_len for p in plans])
+    _, entries, hidden = _packed_forward(
+        coproc, inputs, prefix_cache,
+        [build_attention_mask(p, "coprocessor") for p in plans],
+        [[(int(p_off[b]), p.cached_len)] for b, p in enumerate(plans)],
+        [p.coproc_positions() for p in plans], "coprocessor", counter)
+    return entries, hidden
+
+
+def _decode_forward(base: ModelParams, prefix_cache: ModelCache,
+                    plans: list[AugmentationPlan], aheads: list[np.ndarray],
+                    latent_rows: list[list[T.TensorNode]] | None,
+                    latent_cache: ModelCache | None,
+                    counter: PassCounter | None = None
+                    ) -> tuple[T.TensorNode, ModelCache, ModelCache]:
+    """Pass 3: the base decodes every sequence's ahead tokens in one forward.
+
+    Embedding injection feeds latent_rows[b] as input rows ahead of sequence
+    b's tokens. Cache-concat (latent_rows None) appends latent_cache, every
+    sequence's coprocessor entries in order, to the prefix cache and feeds
+    only the ahead tokens. Returns the logits, the cache the rows attended
+    and the rows' new cache entries."""
+    p_off = _offsets([p.cached_len for p in plans])
+    if latent_rows is None:
+        lat_off = _offsets([p.latent_rows for p in plans])
+        context = prefix_cache
+        if lat_off[-1]:
+            context = concat_cache(prefix_cache, latent_cache)
+        inputs = T.concat_rows([embed_tokens(base, a) for a in aheads])
+        blocks = [decode_mask_cache_concat(p) for p in plans]
+        segs = [[(int(p_off[b]), p.cached_len),
+                 (int(p_off[-1] + lat_off[b]), p.latent_rows)]
+                for b, p in enumerate(plans)]
+        positions = [p.decode_positions()[p.latent_rows:] for p in plans]
+    else:
+        context = prefix_cache
+        parts: list[T.TensorNode] = []
+        for rows, a in zip(latent_rows, aheads):
+            parts += rows
+            parts.append(embed_tokens(base, a))
+        inputs = T.concat_rows(parts)
+        blocks = [build_attention_mask(p, "decode") for p in plans]
+        segs = [[(int(p_off[b]), p.cached_len)] for b, p in enumerate(plans)]
+        positions = [p.decode_positions() for p in plans]
+    logits, entries, _ = _packed_forward(base, inputs, context, blocks, segs,
+                                         positions, "decode", counter)
+    return logits, context, entries
+
+
+def _run_schedule(mode: InjectionMode, base: ModelParams,
+                  coproc: ModelParams | None, bank: SoftTokenBank,
+                  plans: list[AugmentationPlan], prefixes: list[np.ndarray],
+                  aheads: list[np.ndarray], counter: PassCounter | None
+                  ) -> tuple[T.TensorNode, np.ndarray]:
+    """The whole schedule for a batch of sequences: 3 passes in dual modes,
+    2 in the soft baseline. Returns the decode logits and a boolean mask of
+    their ahead rows (the rest are re-fed latent rows)."""
+    cache = _prefix_forward(base, prefixes, counter)
+    latent_cache = None
+    if mode is InjectionMode.SOFT_EMBEDDING_UNIFIED:
+        latent_rows = [[_bank_rows(bank, p.n_latents)] * p.n_sites
+                       if p.n_latents else [] for p in plans]
+    else:
+        entries, hidden = _coprocessor_forward(coproc, cache, bank, plans,
+                                               counter)
+        if uses_cache_concat(mode):
+            latent_rows, latent_cache = None, entries
+        else:
+            lat_off = _offsets([p.latent_rows for p in plans])
+            d = coproc.config.d_model
+            latent_rows = [[T.slice_block(hidden, int(lat_off[b]),
+                                          int(lat_off[b + 1]), 0, d)]
+                           if p.latent_rows else []
+                           for b, p in enumerate(plans)]
+    logits, _, _ = _decode_forward(base, cache, plans, aheads, latent_rows,
+                                   latent_cache, counter)
+    fed = [0 if latent_rows is None else p.latent_rows for p in plans]
+    ahead = np.concatenate([np.repeat([False, True], [n, p.ahead_rows])
+                            for n, p in zip(fed, plans)])
+    return logits, ahead
+
+
+# ---------------------------------------------------------------------------
+# the three passes, one sequence at a time
 
 
 def base_prefix_pass(base: ModelParams, token_ids,
@@ -147,13 +326,7 @@ def base_prefix_pass(base: ModelParams, token_ids,
     ids = np.asarray(token_ids, dtype=np.intp).reshape(-1)
     if ids.size == 0:
         raise ContractError("base_prefix_pass: empty prefix")
-    emb = embed_tokens(base, ids)
-    mask = causal_mask(ids.size)
-    positions = np.arange(ids.size, dtype=np.int64)
-    _, entries, _ = forward(base, emb, None, mask, positions)
-    if counter is not None:
-        counter.tick(ids.size, "base_prefix")
-    return entries
+    return _prefix_forward(base, [ids], counter)
 
 
 def coprocessor_pass(coproc: ModelParams, base_cache: ModelCache,
@@ -172,19 +345,9 @@ def coprocessor_pass(coproc: ModelParams, base_cache: ModelCache,
             f"plan wants {plan.n_latents}")
     if bank.d_model != coproc.config.d_model:
         raise ContractError("coprocessor_pass: bank width mismatch")
-    m, nl = plan.n_sites, plan.n_latents
-    if nl == 0:
-        inputs = T.tensor(np.zeros((0, coproc.config.d_model)),
-                          dtype=bank.embeddings.values.dtype)
-    elif m == 1:
-        inputs = bank.embeddings
-    else:
-        inputs = T.concat_rows([bank.embeddings] * m)
-    mask = build_attention_mask(plan, "coprocessor")
-    _, entries, hidden = forward(coproc, inputs, base_cache, mask,
-                                 plan.coproc_positions())
-    if counter is not None:
-        counter.tick(m * nl, "coprocessor")
+    entries, hidden = _coprocessor_forward(coproc, base_cache, bank, [plan],
+                                           counter)
+    nl = plan.n_latents
     blocks = []
     for s, t in enumerate(plan.sites):
         blocks.append(LatentBlock(
@@ -247,27 +410,14 @@ def decode_pass(base: ModelParams, base_cache: ModelCache,
                 f"decode_pass: latent block shape {b.z.values.shape}, "
                 f"expected ({plan.n_latents},{base.config.d_model})")
     flat = _flat_ahead(plan, ahead_token_ids)
-    ahead_emb = embed_tokens(base, flat)
-    positions = plan.decode_positions()
-
     if uses_cache_concat(mode):
-        cache = base_cache
-        for b in blocks:
-            if plan.n_latents:
-                cache = concat_cache(cache, b.coproc_entries)
-        mask = decode_mask_cache_concat(plan)
-        logits, _, _ = forward(base, ahead_emb, cache, mask,
-                               positions[plan.latent_rows:])
-        if counter is not None:
-            counter.tick(plan.ahead_rows, "decode")
+        entries = functools.reduce(concat_cache,
+                                   [b.coproc_entries for b in blocks])
+        logits, _, _ = _decode_forward(base, base_cache, [plan], [flat], None,
+                                       entries, counter)
         return _split_site_logits(logits, plan, 0)
-
-    parts = [b.z for b in blocks] + [ahead_emb]
-    inputs = T.concat_rows(parts)
-    mask = build_attention_mask(plan, "decode")
-    logits, _, _ = forward(base, inputs, base_cache, mask, positions)
-    if counter is not None:
-        counter.tick(plan.latent_rows + plan.ahead_rows, "decode")
+    logits, _, _ = _decode_forward(base, base_cache, [plan], [flat],
+                                   [[b.z for b in blocks]], None, counter)
     return _split_site_logits(logits, plan, plan.latent_rows)
 
 
@@ -282,17 +432,9 @@ def soft_embedding_pass(base: ModelParams, bank: SoftTokenBank,
             f"plan wants {plan.n_latents}")
     cache = base_prefix_pass(base, token_ids, counter)
     flat = _flat_ahead(plan, ahead_token_ids)
-    ahead_emb = embed_tokens(base, flat)
-    if plan.n_sites == 1:
-        soft = bank.embeddings
-    else:
-        soft = T.concat_rows([bank.embeddings] * plan.n_sites)
-    inputs = T.concat_rows([soft, ahead_emb])
-    mask = build_attention_mask(plan, "decode")
-    logits, _, _ = forward(base, inputs, cache, mask,
-                           plan.decode_positions())
-    if counter is not None:
-        counter.tick(plan.latent_rows + plan.ahead_rows, "decode")
+    logits, _, _ = _decode_forward(base, cache, [plan], [flat],
+                                   [[bank.embeddings] * plan.n_sites], None,
+                                   counter)
     return _split_site_logits(logits, plan, plan.latent_rows)
 
 
@@ -336,34 +478,6 @@ def sequential_rollout(params: ModelParams, token_ids, n_latents: int,
 # greedy generation (evaluation helper)
 
 
-def _generation_context(mode: InjectionMode, base: ModelParams,
-                        coproc: ModelParams | None, bank: SoftTokenBank | None,
-                        question_ids: np.ndarray, n_latents: int
-                        ) -> tuple[ModelCache, T.TensorNode | None, AugmentationPlan]:
-    """Run passes 1 and 2 for a single-site prompt; returns the cache to
-    decode against, the latent input rows (None for cache-concat), and the
-    plan template used for mask construction."""
-    t = int(question_ids.size)
-    plan = AugmentationPlan(seq_len=t + 1, sites=(t,), n_latents=n_latents,
-                            n_ahead=1, cached_len=t)
-    cache = base_prefix_pass(base, question_ids)
-    if mode is InjectionMode.SOFT_EMBEDDING_UNIFIED:
-        if bank is None or bank.n_latents != n_latents:
-            raise ContractError("generation: soft mode needs a matching bank")
-        return cache, bank.embeddings, plan
-    if mode not in DUAL_MODES:
-        raise ContractError(f"generation: unsupported mode {mode.value}")
-    if coproc is None or bank is None:
-        raise ContractError("generation: dual mode needs coprocessor and bank")
-    blocks = coprocessor_pass(coproc, cache, bank, plan)
-    if uses_cache_concat(mode):
-        merged = cache
-        if n_latents:
-            merged = concat_cache(cache, blocks[0].coproc_entries)
-        return detach_cache(merged), None, plan
-    return cache, blocks[0].z, plan
-
-
 def generate_greedy(mode: InjectionMode, base: ModelParams,
                     coproc: ModelParams | None, bank: SoftTokenBank | None,
                     question_ids, n_latents: int, forced_ids,
@@ -375,37 +489,40 @@ def generate_greedy(mode: InjectionMode, base: ModelParams,
     stop_id (kept in the output) or after max_new tokens.
     """
     question_ids = np.asarray(question_ids, dtype=np.intp).reshape(-1)
-    forced = [int(x) for x in np.asarray(forced_ids, dtype=np.intp).reshape(-1)]
-    if question_ids.size == 0 or not forced:
+    forced = np.asarray(forced_ids, dtype=np.intp).reshape(-1)
+    if question_ids.size == 0 or not forced.size:
         raise ContractError("generation: needs a question and a forced prefix")
-    cache, latent_rows, plan = _generation_context(
-        mode, base, coproc, bank, question_ids, n_latents)
     t = int(question_ids.size)
-
-    # First decode pass: latent rows (embedding modes) plus forced tokens.
-    gen_plan = AugmentationPlan(seq_len=t + len(forced), sites=(t,),
-                                n_latents=n_latents, n_ahead=len(forced),
-                                cached_len=t)
-    forced_emb = embed_tokens(base, np.asarray(forced, dtype=np.intp))
-    if latent_rows is None:
-        mask = decode_mask_cache_concat(gen_plan)
-        inputs = forced_emb
-        positions = gen_plan.decode_positions()[gen_plan.latent_rows:]
+    plan = AugmentationPlan(seq_len=t + forced.size, sites=(t,),
+                            n_latents=n_latents, n_ahead=forced.size,
+                            cached_len=t)
+    cache = base_prefix_pass(base, question_ids)
+    latent_rows = latent_cache = None
+    if mode is InjectionMode.SOFT_EMBEDDING_UNIFIED:
+        if bank is None or bank.n_latents != n_latents:
+            raise ContractError("generation: soft mode needs a matching bank")
+        latent_rows = [[bank.embeddings]]
     else:
-        inputs = T.concat_rows([latent_rows, forced_emb])
-        mask = build_attention_mask(gen_plan, "decode")
-        positions = gen_plan.decode_positions()
-    logits, entries, _ = forward(base, inputs, cache, mask, positions)
-    ctx = concat_cache(detach_cache(cache), detach_cache(entries))
+        if coproc is None or bank is None:
+            raise ContractError(
+                "generation: dual mode needs coprocessor and bank")
+        block = coprocessor_pass(coproc, cache, bank, plan)[0]
+        if uses_cache_concat(mode):
+            latent_cache = block.coproc_entries
+        else:
+            latent_rows = [[block.z]]
 
+    # First decode pass: latents plus forced tokens, as in training.
+    logits, context, entries = _decode_forward(base, cache, [plan], [forced],
+                                               latent_rows, latent_cache)
+    ctx = concat_cache(detach_cache(context), detach_cache(entries))
     out: list[int] = []
     next_id = int(np.argmax(logits.values[-1]))
-    next_pos = t + n_latents + len(forced)
+    next_pos = t + n_latents + forced.size
     for _ in range(max_new):
         out.append(next_id)
-        if stop_id is not None and next_id == stop_id:
-            break
-        if next_pos >= base.config.max_positions:
+        if len(out) == max_new or next_id == stop_id \
+                or next_pos >= base.config.max_positions:
             break
         emb = embed_tokens(base, np.asarray([next_id], dtype=np.intp))
         mask = np.ones((1, ctx.length() + 1), dtype=bool)

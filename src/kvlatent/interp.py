@@ -25,7 +25,6 @@ import struct
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .errors import ContractError, DataFormatError
 
@@ -201,6 +200,8 @@ def silhouette(dump: ActivationDump) -> SilhouetteReport:
     points = np.concatenate([g for g in groups if g.shape[0] > 0], axis=0)
     if points.shape[0] < 3:
         raise ContractError("silhouette: needs at least 3 points")
+    from scipy.spatial.distance import cdist  # deferred: slow to import
+
     dist = cdist(points, points)
     scores = np.zeros(points.shape[0])
     for p in range(points.shape[0]):

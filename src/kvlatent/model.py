@@ -181,18 +181,6 @@ class ModelCache:
                 raise ContractError(f"cache: layer {i} position ids mismatch")
 
 
-def empty_cache(config: ModelConfig, origin: str = "base",
-                dtype=np.float32) -> ModelCache:
-    layers = [LayerCache(
-        keys=[T.tensor(np.zeros((0, config.d_head)), dtype=dtype)
-              for _ in range(config.n_heads)],
-        values=[T.tensor(np.zeros((0, config.d_head)), dtype=dtype)
-                for _ in range(config.n_heads)],
-        position_ids=np.zeros((0,), dtype=np.int64),
-    ) for _ in range(config.n_layers)]
-    return ModelCache(layers, config.n_heads, origin)
-
-
 def concat_cache(a: ModelCache, b: ModelCache) -> ModelCache:
     """Concatenate cached rows along the sequence dimension, per layer and
     per head. Appended rows keep their own position ids."""

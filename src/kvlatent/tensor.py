@@ -21,10 +21,9 @@ same central-difference checker.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import ContractError, NumericError, ShapeError
 
@@ -209,6 +208,8 @@ def layer_norm(x: TensorNode, eps: float = 1e-5) -> TensorNode:
 
 def gelu(x: TensorNode) -> TensorNode:
     """Exact GELU: x * Phi(x) with the Gaussian CDF, not the tanh fit."""
+    from scipy.special import erf  # deferred: slow to import, gelu only
+
     _check_finite("gelu", x.values)
     v = x.values
     phi_cdf = 0.5 * (1.0 + erf(v * _INV_SQRT2))
@@ -377,51 +378,11 @@ def cross_entropy(logits: TensorNode, targets, mask) -> TensorNode:
     return _result("cross_entropy", out, (logits,), bwd)
 
 
+# Every op kind this module builds, one per constructor above; the tests
+# grad-check each one.
 _DISPATCH = ("matmul", "add", "mul", "softmax_rows", "layer_norm", "gelu",
              "embedding_lookup", "slice", "concat_rows", "transpose",
              "scale", "sum", "rope", "cross_entropy")
-
-
-def forward_op(kind: str, inputs: Sequence[TensorNode], attrs: dict | None = None) -> TensorNode:
-    """Uniform entry point: build one graph node of the given kind.
-
-    The named constructors above are the primary API; this dispatcher exists
-    so callers can drive the op set generically (and so there is exactly one
-    list of supported kinds to validate against).
-    """
-    attrs = attrs or {}
-    if kind == "matmul":
-        return matmul(inputs[0], inputs[1])
-    if kind == "add":
-        return add(inputs[0], inputs[1])
-    if kind == "mul":
-        return mul(inputs[0], inputs[1])
-    if kind == "softmax_rows":
-        return softmax_rows(inputs[0])
-    if kind == "layer_norm":
-        return layer_norm(inputs[0], eps=attrs.get("eps", 1e-5))
-    if kind == "gelu":
-        return gelu(inputs[0])
-    if kind == "embedding_lookup":
-        return embedding_lookup(inputs[0], attrs["ids"])
-    if kind == "slice":
-        r0, r1 = attrs["rows"]
-        c0, c1 = attrs["cols"]
-        return slice_block(inputs[0], r0, r1, c0, c1)
-    if kind == "concat_rows":
-        return concat_rows(inputs)
-    if kind == "transpose":
-        return transpose(inputs[0])
-    if kind == "scale":
-        return scale(inputs[0], attrs["c"])
-    if kind == "sum":
-        return sum_all(inputs[0])
-    if kind == "rope":
-        return rope(inputs[0], attrs["cos"], attrs["sin"])
-    if kind == "cross_entropy":
-        return cross_entropy(inputs[0], attrs["targets"], attrs["mask"])
-    raise ContractError(f"forward_op: unknown kind {kind!r}; "
-                        f"supported: {', '.join(_DISPATCH)}")
 
 
 # ---------------------------------------------------------------------------
@@ -468,11 +429,6 @@ def backward(root: TensorNode, reset: bool = True) -> None:
     for node in reversed(order):
         if node._bwd is not None and node.grad is not None:
             node._bwd(node.grad)
-
-
-def zero_grads(nodes: Iterable[TensorNode]) -> None:
-    for n in nodes:
-        n.grad = None
 
 
 # ---------------------------------------------------------------------------

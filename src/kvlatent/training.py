@@ -4,10 +4,15 @@ The unit of work is a SequenceItem: a cached prefix, an augmentation plan,
 the flat ahead-token inputs, and their targets. Pretraining slices items
 out of corpus windows (each window is seq_len + 1 tokens so every ahead row
 has an in-window target); fine-tuning builds one single-site item per
-example. A minibatch of items is packed into one block-diagonal graph per
-pass so the arithmetic runs as large matrix products; packing is purely an
-efficiency measure and is equivalent to running the per-sequence passes
-independently, which the tests check.
+example. run_three_pass hands a minibatch to the engine's packed schedule
+(engine._run_schedule, the one implementation of the passes), which runs
+one forward per pass over every item's rows with a block-diagonal mask.
+Packing changes no result: each item sees only its own rows, which the
+tests check against the per-sequence engine passes. It is not free either:
+the projections and MLP run as larger matrix products, but attention is
+dense over the whole batch, O((B*S)^2) with nearly all of it masked out, so
+at the acceptance gates' sizes a packed batch can be slower than its items
+run one at a time.
 
 Loss is masked cross-entropy over ahead rows only; latent rows are never
 supervised. Optimization is decoupled-weight-decay Adam applied uniformly
@@ -23,13 +28,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .engine import (DUAL_MODES, InjectionMode, PassCounter, SoftTokenBank,
-                     base_trainable, has_coprocessor, uses_cache_concat)
+from .engine import (InjectionMode, PassCounter, SoftTokenBank,
+                     _run_schedule, base_trainable, has_coprocessor)
 from .errors import ContractError, NumericError
-from .masks import AugmentationPlan, build_attention_mask, causal_mask, \
-    decode_mask_cache_concat
-from .model import (ModelCache, ModelConfig, ModelParams, concat_cache,
-                    embed_tokens, forward)
+from .masks import AugmentationPlan
+# Unused here; kvbench/tracer.py wraps these names on every module it traces.
+from .masks import (build_attention_mask, causal_mask,  # noqa: F401
+                    decode_mask_cache_concat)
+from .model import ModelConfig, ModelParams, concat_cache, forward  # noqa: F401
 from .tasks.tokenizer import ByteTokenizer
 
 
@@ -179,8 +185,6 @@ def init_system(mode: InjectionMode, config: ModelConfig, n_latents: int,
     base (same weights, its own training trajectory); the soft bank is its
     own small init. Trainability follows the mode: the base only trains in
     the co-finetuned and soft variants."""
-    if mode not in (*DUAL_MODES, InjectionMode.SOFT_EMBEDDING_UNIFIED):
-        raise ContractError(f"init_system: {mode.value} is not a training mode")
     base = ModelParams.init(config, "base", np.random.default_rng([seed, 1]))
     base.set_trainable(base_trainable(mode))
     coproc = None
@@ -195,34 +199,6 @@ def init_system(mode: InjectionMode, config: ModelConfig, n_latents: int,
     return LatentSystem(mode, base, coproc, bank)
 
 
-def _pack_blocks(blocks: list[np.ndarray], col_offsets: list[list[tuple[int, int]]],
-                 total_cols: int) -> np.ndarray:
-    """Assemble per-sequence masks into one block mask. blocks[b] is the
-    local mask; col_offsets[b] lists (global_start, width) segments covering
-    the local columns in order."""
-    rows = sum(b.shape[0] for b in blocks)
-    out = np.zeros((rows, total_cols), dtype=bool)
-    r = 0
-    for b, segs in zip(blocks, col_offsets):
-        c = 0
-        for start, width in segs:
-            out[r:r + b.shape[0], start:start + width] = b[:, c:c + width]
-            c += width
-        r += b.shape[0]
-    return out
-
-
-def _bank_rows(bank: SoftTokenBank, n_latents: int) -> T.TensorNode:
-    """The first n_latents soft tokens, as a fresh graph node. Curriculum
-    stages train a growing prefix of a bank sized for the final stage."""
-    if n_latents > bank.n_latents:
-        raise ContractError(f"bank has {bank.n_latents} slots, "
-                            f"plan wants {n_latents}")
-    if n_latents == bank.n_latents:
-        return bank.embeddings
-    return T.slice_block(bank.embeddings, 0, n_latents, 0, bank.d_model)
-
-
 def run_three_pass(system: LatentSystem, items: list[SequenceItem],
                    counter: PassCounter | None = None
                    ) -> tuple[T.TensorNode, int]:
@@ -233,125 +209,13 @@ def run_three_pass(system: LatentSystem, items: list[SequenceItem],
     graphs keep every sequence independent; see module docstring."""
     if not items:
         raise ContractError("run_three_pass: empty batch")
-    mode = system.mode
-    base, coproc, bank = system.base, system.coproc, system.bank
-    d = base.config.d_model
-
-    prefix_lens = [it.prefix_ids.size for it in items]
-    prefix_off = np.concatenate([[0], np.cumsum(prefix_lens)])
-    total_prefix = int(prefix_off[-1])
-
-    # ---- pass 1: every prefix, causally, in one forward ----
-    prefix_ids = np.concatenate([it.prefix_ids for it in items])
-    prefix_mask = _pack_blocks(
-        [causal_mask(n) for n in prefix_lens],
-        [[(int(prefix_off[b]), prefix_lens[b])] for b in range(len(items))],
-        total_prefix)
-    prefix_pos = np.concatenate([np.arange(n, dtype=np.int64)
-                                 for n in prefix_lens])
-    emb = embed_tokens(base, prefix_ids)
-    _, base_entries, _ = forward(base, emb, None, prefix_mask, prefix_pos)
-    if counter is not None:
-        counter.tick(total_prefix, "base_prefix")
-
-    lat_rows = [it.plan.latent_rows for it in items]
-    lat_off = np.concatenate([[0], np.cumsum(lat_rows)])
-    total_lat = int(lat_off[-1])
-    ahead_rows = [it.plan.ahead_rows for it in items]
-
-    coproc_hidden = None
-    coproc_entries = None
-    if has_coprocessor(mode):
-        # ---- pass 2: all sites of all sequences in one forward ----
-        if total_lat:
-            soft_parts = []
-            for it in items:
-                soft_parts += [_bank_rows(bank, it.plan.n_latents)] \
-                    * it.plan.n_sites
-            coproc_in = T.concat_rows(soft_parts)
-        else:
-            coproc_in = T.tensor(np.zeros((0, d)),
-                                 dtype=bank.embeddings.values.dtype)
-        coproc_mask = _pack_blocks(
-            [build_attention_mask(it.plan, "coprocessor") for it in items],
-            [[(int(prefix_off[b]), items[b].plan.cached_len),
-              (total_prefix + int(lat_off[b]), lat_rows[b])]
-             for b in range(len(items))],
-            total_prefix + total_lat)
-        coproc_pos = np.concatenate(
-            [it.plan.coproc_positions() for it in items])
-        _, coproc_entries, coproc_hidden = forward(
-            coproc, coproc_in, base_entries, coproc_mask, coproc_pos)
-        if counter is not None:
-            counter.tick(total_lat, "coprocessor")
-
-    # ---- pass 3: decode ahead tokens against the injected context ----
-    n_loss_rows = int(np.sum(ahead_rows))
-    if uses_cache_concat(mode):
-        context = concat_cache(base_entries, coproc_entries) if total_lat \
-            else base_entries
-        new_off = np.concatenate([[0], np.cumsum(ahead_rows)])
-        total_new = int(new_off[-1])
-        inputs = T.concat_rows([embed_tokens(base, it.ahead_inputs)
-                                for it in items])
-        mask = _pack_blocks(
-            [decode_mask_cache_concat(it.plan) for it in items],
-            [[(int(prefix_off[b]), items[b].plan.cached_len),
-              (total_prefix + int(lat_off[b]), lat_rows[b]),
-              (total_prefix + total_lat + int(new_off[b]), ahead_rows[b])]
-             for b in range(len(items))],
-            total_prefix + total_lat + total_new)
-        pos = np.concatenate(
-            [it.plan.decode_positions()[it.plan.latent_rows:] for it in items])
-        logits, _, _ = forward(base, inputs, context, mask, pos)
-        if counter is not None:
-            counter.tick(total_new, "decode")
-        targets = np.concatenate([it.targets for it in items])
-        loss_mask = np.ones(total_new, dtype=bool)
-    else:
-        # latents (or soft tokens) re-enter as input rows, per sequence
-        parts: list[T.TensorNode] = []
-        row_counts: list[int] = []
-        targets_l: list[np.ndarray] = []
-        flags: list[np.ndarray] = []
-        for b, it in enumerate(items):
-            if mode is InjectionMode.SOFT_EMBEDDING_UNIFIED:
-                if it.plan.n_latents:
-                    lat_in = [_bank_rows(bank, it.plan.n_latents)] \
-                        * it.plan.n_sites
-                else:
-                    lat_in = []
-            elif lat_rows[b]:
-                lat_in = [T.slice_block(coproc_hidden, int(lat_off[b]),
-                                        int(lat_off[b + 1]), 0, d)]
-            else:
-                lat_in = []
-            parts += lat_in
-            parts.append(embed_tokens(base, it.ahead_inputs))
-            row_counts.append(lat_rows[b] + ahead_rows[b])
-            targets_l.append(np.concatenate(
-                [np.zeros(lat_rows[b], dtype=np.intp), it.targets]))
-            flags.append(np.concatenate(
-                [np.zeros(lat_rows[b], dtype=bool),
-                 np.ones(ahead_rows[b], dtype=bool)]))
-        inputs = T.concat_rows(parts)
-        new_off = np.concatenate([[0], np.cumsum(row_counts)])
-        total_new = int(new_off[-1])
-        mask = _pack_blocks(
-            [build_attention_mask(it.plan, "decode") for it in items],
-            [[(int(prefix_off[b]), items[b].plan.cached_len),
-              (total_prefix + int(new_off[b]), row_counts[b])]
-             for b in range(len(items))],
-            total_prefix + total_new)
-        pos = np.concatenate([it.plan.decode_positions() for it in items])
-        logits, _, _ = forward(base, inputs, base_entries, mask, pos)
-        if counter is not None:
-            counter.tick(total_new, "decode")
-        targets = np.concatenate(targets_l)
-        loss_mask = np.concatenate(flags)
-
-    loss = T.cross_entropy(logits, targets, loss_mask)
-    return loss, n_loss_rows
+    logits, ahead = _run_schedule(
+        system.mode, system.base, system.coproc, system.bank,
+        [it.plan for it in items], [it.prefix_ids for it in items],
+        [it.ahead_inputs for it in items], counter)
+    targets = np.zeros(ahead.size, dtype=np.intp)
+    targets[ahead] = np.concatenate([it.targets for it in items])
+    return T.cross_entropy(logits, targets, ahead), int(ahead.sum())
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,14 @@
 optimizer round-trips, trainability restoration by mode, and rejection of
 malformed files."""
 
+import functools
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kvlatent.checkpoint import (FORMAT_VERSION, load_checkpoint,
                                  save_checkpoint)
@@ -143,6 +147,32 @@ def test_rejects_truncated_payload(tmp_path):
     (tmp_path / "t.bin").write_bytes(data[:-100])
     with pytest.raises(DataFormatError, match="truncated"):
         load_checkpoint(tmp_path / "t.bin")
+
+
+@functools.lru_cache(maxsize=None)
+def _valid_checkpoint_bytes() -> bytes:
+    system, opt = trained_system(InjectionMode.EMBEDDING_FROZEN_BASE, steps=1)
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "ck.bin")
+        save_checkpoint(path, system, opt, step=1, seed=50)
+        with open(path, "rb") as f:
+            return f.read()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_every_strict_prefix_is_a_data_format_error(data):
+    blob = _valid_checkpoint_bytes()
+    header_end = 16 + int(np.frombuffer(blob[8:16], dtype=np.uint64)[0])
+    # half the draws land in the preamble or header, where parsing happens
+    cut = data.draw(st.one_of(st.integers(0, header_end),
+                              st.integers(0, len(blob) - 1)))
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "cut.bin")
+        with open(path, "wb") as f:
+            f.write(blob[:cut])
+        with pytest.raises(DataFormatError):
+            load_checkpoint(path)
 
 
 def _patch_header(path, out, fn):

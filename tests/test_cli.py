@@ -434,6 +434,14 @@ def test_missing_checkpoint_is_io_error(corpus_file, capsys):
                  "--data", str(corpus_file)]) == 2
 
 
+def test_truncated_checkpoint_is_contract_error(tmp_path, capsys):
+    path = tmp_path / "ck.bin"
+    path.write_bytes(b"KVCK")
+    assert main(["eval", "--checkpoint", str(path),
+                 "--data", str(tmp_path / "x")]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
 def test_unknown_config_key_is_contract_error(pretrain_ini, capsys):
     assert main(["pretrain", "--config", pretrain_ini,
                  "--set", "train.bogus_key=1"]) == 1

@@ -294,6 +294,33 @@ def test_generate_greedy_requires_question_and_forced_prefix():
                         bank, [1, 2], 2, forced_ids=[], max_new=4)
 
 
+@pytest.mark.parametrize("mode", [InjectionMode.EMBEDDING_FROZEN_BASE,
+                                  InjectionMode.CACHE_CONCAT_FROZEN_BASE,
+                                  InjectionMode.SOFT_EMBEDDING_UNIFIED])
+def test_generate_greedy_runs_no_forward_past_the_last_id(mode, monkeypatch):
+    import kvlatent.engine as engine
+    base, coproc, bank = make_f32_stack(40)
+    rows = []
+    real_forward = engine.forward
+
+    def counting_forward(params, inputs, *args):
+        rows.append(inputs.values.shape[0])
+        return real_forward(params, inputs, *args)
+
+    monkeypatch.setattr(engine, "forward", counting_forward)
+    schedule = 2 if mode is InjectionMode.SOFT_EMBEDDING_UNIFIED else 3
+    q = [1, 2, 3, 4, 5]
+    first = generate_greedy(mode, base, coproc, bank, q, 2, forced_ids=[7],
+                            max_new=1)
+    assert len(first) == 1 and len(rows) == schedule
+    for n in (2, 5):
+        rows.clear()
+        out = generate_greedy(mode, base, coproc, bank, q, 2, forced_ids=[7],
+                              max_new=n)
+        assert out[:1] == first and len(out) == n
+        assert rows[schedule:] == [1] * (n - 1)
+
+
 def test_generation_differs_across_modes_with_same_weights():
     base, coproc, bank = make_f32_stack(38)
     q = [3, 1, 4, 1, 5, 9, 2, 6]

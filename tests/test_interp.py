@@ -3,6 +3,10 @@ cross-capture on constructed geometries (orthogonal, duplicated, separated
 but redundant), the exact silhouette against hand-computed values and an
 independent implementation, and dump/report round-trips."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -367,3 +371,16 @@ def test_collect_activations_requires_coprocessor():
                          seed=20)
     with pytest.raises(ContractError):
         collect_activations(system, [])
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy.special and scipy.spatial load on first use, not with the package
+    import kvlatent
+    src = os.path.dirname(os.path.dirname(kvlatent.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, kvlatent, kvlatent.interp; "
+            "print(sorted(m for m in ('scipy.special', 'scipy.spatial.distance')"
+            " if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -215,7 +215,7 @@ def test_grad_cross_entropy_masked():
 
 
 def test_grad_via_dispatcher_every_kind():
-    # drives each kind through the uniform entry point with fresh seeds
+    # every kind in T._DISPATCH, built through its named constructor
     rng = np.random.default_rng(20)
     cfg = ModelConfig(n_layers=1, d_model=4, n_heads=1, vocab_size=6,
                       max_positions=8)
@@ -224,42 +224,38 @@ def test_grad_via_dispatcher_every_kind():
     a = leaf(rng, 2, 4)
     b = leaf(rng, 4, 4)
     w = T.tensor(rng.normal(size=(6, 6)), dtype=F64)
+    logits = leaf(rng, 3, 6, scale=2.0)
     cases = {
-        "matmul": lambda: T.forward_op("matmul", [a, b]),
-        "add": lambda: T.forward_op("add", [a, a]),
-        "mul": lambda: T.forward_op("mul", [a, a]),
-        "softmax_rows": lambda: T.forward_op("softmax_rows", [a]),
-        "layer_norm": lambda: T.forward_op("layer_norm", [a]),
-        "gelu": lambda: T.forward_op("gelu", [a]),
-        "embedding_lookup": lambda: T.forward_op(
-            "embedding_lookup", [b], {"ids": np.array([0, 3])}),
-        "slice": lambda: T.forward_op(
-            "slice", [a], {"rows": (0, 2), "cols": (1, 3)}),
-        "concat_rows": lambda: T.forward_op("concat_rows", [a, a]),
-        "transpose": lambda: T.forward_op("transpose", [a]),
-        "scale": lambda: T.forward_op("scale", [a], {"c": -2.5}),
-        "rope": lambda: T.forward_op("rope", [a], {"cos": cos, "sin": sin}),
+        "matmul": (lambda: T.matmul(a, b), a),
+        "add": (lambda: T.add(a, a), a),
+        "mul": (lambda: T.mul(a, a), a),
+        "softmax_rows": (lambda: T.softmax_rows(a), a),
+        "layer_norm": (lambda: T.layer_norm(a), a),
+        "gelu": (lambda: T.gelu(a), a),
+        "embedding_lookup": (
+            lambda: T.embedding_lookup(b, np.array([0, 3])), b),
+        "slice": (lambda: T.slice_block(a, 0, 2, 1, 3), a),
+        "concat_rows": (lambda: T.concat_rows([a, a]), a),
+        "transpose": (lambda: T.transpose(a), a),
+        "scale": (lambda: T.scale(a, -2.5), a),
+        "rope": (lambda: T.rope(a, cos, sin), a),
+        # sum and cross_entropy produce scalars directly
+        "sum": (lambda: T.sum_all(a), a),
+        "cross_entropy": (lambda: T.cross_entropy(
+            logits, np.array([1, 4, 0]), np.ones(3, bool)), logits),
     }
-    for kind, make in cases.items():
+    assert set(cases) == set(T._DISPATCH)
+    for kind, (make, x) in cases.items():
+        if kind in ("sum", "cross_entropy"):
+            check(make, [x])
+            continue
+
         def build(make=make):
             out = make()
-            if out.values.shape == (1, 1):
-                return out
             r, c = out.values.shape
             return T.sum_all(T.mul(out, T.tensor(w.values[:r, :c], dtype=F64)))
-        err = T.grad_check(build, [a] if kind != "embedding_lookup" else [b])
+        err = T.grad_check(build, [x])
         assert err < 1e-5, f"{kind}: {err}"
-    # sum and cross_entropy produce scalars directly
-    check(lambda: T.forward_op("sum", [a]), [a])
-    logits = leaf(rng, 3, 6, scale=2.0)
-    check(lambda: T.forward_op(
-        "cross_entropy", [logits],
-        {"targets": np.array([1, 4, 0]), "mask": np.ones(3, bool)}), [logits])
-
-
-def test_forward_op_rejects_unknown_kind():
-    with pytest.raises(ContractError):
-        T.forward_op("convolve", [T.tensor(np.zeros((1, 1)))])
 
 
 # ---------------------------------------------------------------------------
