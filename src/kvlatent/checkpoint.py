@@ -20,7 +20,7 @@ import numpy as np
 from . import tensor as T
 from .engine import InjectionMode, SoftTokenBank, base_trainable, has_coprocessor
 from .errors import ContractError, DataFormatError
-from .model import ModelConfig, ModelParams, param_names
+from .model import ModelConfig, ModelParams, param_shapes
 from .training import LatentSystem, OptimizerState
 
 _MAGIC = b"KVCK"
@@ -110,7 +110,9 @@ def load_checkpoint(path) -> Checkpoint:
         header = json.loads(rest[:hlen].decode("utf-8"))
         mode = InjectionMode(header["mode"])
         config = ModelConfig(**header["model"])
+        n_latents = int(header["n_latents"])
         tensors = {}
+        spans = []       # (role/name, offset, size) in table order
         for ent in header["tensors"]:
             shape = tuple(ent["shape"])
             size = int(np.prod(shape)) * 4 if shape else 4
@@ -120,6 +122,7 @@ def load_checkpoint(path) -> Checkpoint:
                                       f"{ent['role']}/{ent['name']}")
             arr = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
             tensors[(ent["role"], ent["name"])] = arr
+            spans.append((f"{ent['role']}/{ent['name']}", ent["offset"], size))
         opt_h = header["optimizer"]
         seed = int(header["rng"]["seed"])
         step = int(header["step"])
@@ -128,28 +131,36 @@ def load_checkpoint(path) -> Checkpoint:
         raise DataFormatError(f"{path}: malformed checkpoint header ({e})") \
             from e
 
-    expected = param_names(config)
-    base_t = {name: T.TensorNode(arr) for (role, name), arr in tensors.items()
-              if role == "base"}
-    if set(base_t) != expected:
-        raise DataFormatError(f"{path}: base tensor set does not match the "
-                              f"stored architecture")
-    base = ModelParams(config, "base", base_t,
+    shapes = param_shapes(config)
+
+    def model_tensors(role: str) -> dict[str, T.TensorNode]:
+        found = {name: arr for (r, name), arr in tensors.items() if r == role}
+        if set(found) != set(shapes):
+            raise DataFormatError(f"{path}: {role} tensor set does not match "
+                                  f"the stored architecture")
+        for name, arr in found.items():
+            if arr.shape != shapes[name]:
+                raise DataFormatError(
+                    f"{path}: {role}/{name} has shape {arr.shape}, the "
+                    f"stored architecture needs {shapes[name]}")
+        return {name: T.TensorNode(arr) for name, arr in found.items()}
+
+    base = ModelParams(config, "base", model_tensors("base"),
                        trainable=base_trainable(mode))
     coproc = None
-    cop_t = {name: T.TensorNode(arr) for (role, name), arr in tensors.items()
-             if role == "coprocessor"}
-    if cop_t:
-        if set(cop_t) != expected:
-            raise DataFormatError(f"{path}: coprocessor tensor set does not "
-                                  f"match the stored architecture")
-        coproc = ModelParams(config, "coprocessor", cop_t, trainable=True)
+    if any(role == "coprocessor" for role, _ in tensors):
+        coproc = ModelParams(config, "coprocessor",
+                             model_tensors("coprocessor"), trainable=True)
     elif has_coprocessor(mode):
         raise DataFormatError(f"{path}: mode {mode.value} needs coprocessor "
                               f"tensors, none stored")
     bank_arr = tensors.get(("bank", "soft"))
     if bank_arr is None:
         raise DataFormatError(f"{path}: missing soft token bank")
+    if bank_arr.shape != (n_latents, config.d_model):
+        raise DataFormatError(
+            f"{path}: soft token bank has shape {bank_arr.shape}, the header "
+            f"needs ({n_latents}, {config.d_model})")
     bank = SoftTokenBank(T.TensorNode(bank_arr, requires_grad=True))
     system = LatentSystem(mode, base, coproc, bank)
     opt = OptimizerState(beta1=float(opt_h["beta1"]),
@@ -162,4 +173,22 @@ def load_checkpoint(path) -> Checkpoint:
             opt.m[name] = arr
         elif role == "opt.v":
             opt.v[name] = arr
+    if set(opt.m) != set(opt.v):
+        raise DataFormatError(f"{path}: optimizer moments m and v name "
+                              f"different tensors")
+    trainable = {name: node.values.shape for name, node in system.trainable()}
+    for name in opt.m:
+        if not (trainable.get(name) == opt.m[name].shape == opt.v[name].shape):
+            raise DataFormatError(
+                f"{path}: optimizer moments for {name} match no trainable "
+                f"tensor's shape")
+    end = 0
+    for what, offset, size in spans:
+        if offset != end:
+            raise DataFormatError(f"{path}: tensor {what} starts at payload "
+                                  f"byte {offset}, expected {end}")
+        end += size
+    if end != len(payload):
+        raise DataFormatError(f"{path}: payload has {len(payload)} bytes, "
+                              f"the tensor table covers {end}")
     return Checkpoint(system, opt, step, seed, extra)

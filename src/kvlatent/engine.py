@@ -14,14 +14,17 @@ passes:
 
 The soft-embedding baseline runs one model and two passes (no coprocessor).
 
-The schedule is written once, as packed passes over any number of
-sequences (_prefix_forward, _coprocessor_forward, _decode_forward). These
-are the only code that builds a pass's input rows, block-diagonal mask,
-positions, latent injection and PassCounter tick. training.run_three_pass
-runs them for a batch through _run_schedule. base_prefix_pass,
-coprocessor_pass, decode_pass, soft_embedding_pass and the first decode of
-generate_greedy run them for one sequence; after that first decode,
-generation is plain cached one-token decoding.
+The schedule is written once, as passes over a batch of sequences
+(_prefix_forward, _coprocessor_forward, _decode_forward). These are the
+only code that builds a pass's input rows, mask, positions, latent
+injection and PassCounter tick. Each pass runs one forward per sequence,
+over that sequence's own rows, cache, mask and positions, so a batch
+computes exactly what its items compute one at a time and attention costs
+the sum of the sequences' squared lengths, not the square of their sum.
+training.run_three_pass runs the passes for a batch through _run_schedule.
+base_prefix_pass, coprocessor_pass, decode_pass, soft_embedding_pass and
+the first decode of generate_greedy run them for one sequence; after that
+first decode, generation is plain cached one-token decoding.
 
 sequential_rollout is a cost model of emitting latents one at a time
 (N_L + 1 passes); the passcount command compares it with the schedule.
@@ -36,7 +39,7 @@ from enum import Enum
 import numpy as np
 
 from . import tensor as T
-from .errors import ContractError, ShapeError
+from .errors import ContractError
 from .masks import (AugmentationPlan, build_attention_mask, causal_mask,
                     decode_mask_cache_concat)
 from .model import (ModelCache, ModelParams, concat_cache, detach_cache,
@@ -110,21 +113,18 @@ class LatentBlock:
 @dataclass
 class PassCounter:
     """Counts full forward passes; the schedule's cost claims are tested
-    against it."""
+    against it.
+
+    A pass is one stage of the schedule over the whole batch, ticked once
+    however many sequences it runs (each gets its own forward): a dual-mode
+    step is 3 passes and a soft-mode step 2, at any batch size."""
 
     full_passes: int = 0
-    rows_processed: int = 0
     log: list[str] = field(default_factory=list)
 
-    def tick(self, rows: int, label: str) -> None:
+    def tick(self, label: str) -> None:
         self.full_passes += 1
-        self.rows_processed += int(rows)
         self.log.append(label)
-
-    def reset(self) -> None:
-        self.full_passes = 0
-        self.rows_processed = 0
-        self.log.clear()
 
 
 def effective_context(seq_len: int, n_sites: int, n_latents: int,
@@ -148,28 +148,7 @@ def rollout_speedup(n_latents: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# the packed schedule, for any number of sequences at once (module docstring)
-
-
-def _offsets(sizes) -> np.ndarray:
-    return np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
-
-
-def _pack_blocks(blocks: list[np.ndarray], col_offsets: list[list[tuple[int, int]]],
-                 total_cols: int) -> np.ndarray:
-    """Assemble per-sequence masks into one block mask. blocks[b] is the
-    local mask; col_offsets[b] lists (global_start, width) segments covering
-    the local columns in order."""
-    rows = sum(b.shape[0] for b in blocks)
-    out = np.zeros((rows, total_cols), dtype=bool)
-    r = 0
-    for b, segs in zip(blocks, col_offsets):
-        c = 0
-        for start, width in segs:
-            out[r:r + b.shape[0], start:start + width] = b[:, c:c + width]
-            c += width
-        r += b.shape[0]
-    return out
+# the schedule, for a batch of sequences (module docstring)
 
 
 def _bank_rows(bank: SoftTokenBank, n_latents: int) -> T.TensorNode:
@@ -183,104 +162,72 @@ def _bank_rows(bank: SoftTokenBank, n_latents: int) -> T.TensorNode:
     return T.slice_block(bank.embeddings, 0, n_latents, 0, bank.d_model)
 
 
-def _packed_forward(params: ModelParams, inputs: T.TensorNode,
-                    past: ModelCache | None, blocks: list[np.ndarray],
-                    past_segments: list[list[tuple[int, int]]],
-                    positions: list[np.ndarray], label: str,
-                    counter: PassCounter | None):
-    """One full pass over several sequences' rows. Sequence b owns the next
-    blocks[b].shape[0] input rows; its local mask has one column per cached
-    row of its (start, width) segments of past, in order, then one per own
-    row. The packed mask keeps the sequences independent."""
-    p_len = past.length() if past is not None else 0
-    need = sum(w for segs in past_segments for _, w in segs)
-    if need != p_len:
-        raise ShapeError("forward", f"a cache of {need} rows", f"{p_len} rows")
-    row_off = _offsets([b.shape[0] for b in blocks])
-    mask = _pack_blocks(
-        blocks, [segs + [(p_len + int(row_off[b]), blk.shape[0])]
-                 for b, (blk, segs) in enumerate(zip(blocks, past_segments))],
-        p_len + int(row_off[-1]))
-    out = forward(params, inputs, past, mask, np.concatenate(positions))
+def _prefix_forward(base: ModelParams, prefixes: list[np.ndarray],
+                    counter: PassCounter | None) -> list[ModelCache]:
+    """Pass 1: every prefix, causally; only each sequence's cache
+    survives."""
+    caches = [forward(base, embed_tokens(base, ids), None,
+                      causal_mask(ids.size),
+                      np.arange(ids.size, dtype=np.int64))[1]
+              for ids in prefixes]
     if counter is not None:
-        counter.tick(int(row_off[-1]), label)
+        counter.tick("base_prefix")
+    return caches
+
+
+def _coprocessor_forward(coproc: ModelParams, prefix_caches: list[ModelCache],
+                         bank: SoftTokenBank, plans: list[AugmentationPlan],
+                         counter: PassCounter | None
+                         ) -> list[tuple[ModelCache, T.TensorNode]]:
+    """Pass 2: every site of a sequence at once, seeded with the soft
+    tokens, against that sequence's prefix cache. Returns per sequence the
+    rows' cache entries and final hidden states (the latents), site-major."""
+    out = []
+    for cache, p in zip(prefix_caches, plans):
+        if p.latent_rows:
+            inputs = T.concat_rows([_bank_rows(bank, p.n_latents)] * p.n_sites)
+        else:
+            inputs = T.tensor(np.zeros((0, coproc.config.d_model)),
+                              dtype=bank.embeddings.values.dtype)
+        _, entries, hidden = forward(coproc, inputs, cache,
+                                     build_attention_mask(p, "coprocessor"),
+                                     p.coproc_positions())
+        out.append((entries, hidden))
+    if counter is not None:
+        counter.tick("coprocessor")
     return out
 
 
-def _prefix_forward(base: ModelParams, prefixes: list[np.ndarray],
-                    counter: PassCounter | None) -> ModelCache:
-    """Pass 1: every prefix, causally, in one forward; only the cache
-    survives, sequence after sequence."""
-    lens = [p.size for p in prefixes]
-    emb = embed_tokens(base, np.concatenate(prefixes))
-    _, entries, _ = _packed_forward(
-        base, emb, None, [causal_mask(n) for n in lens], [[] for _ in lens],
-        [np.arange(n, dtype=np.int64) for n in lens], "base_prefix", counter)
-    return entries
-
-
-def _coprocessor_forward(coproc: ModelParams, prefix_cache: ModelCache,
-                         bank: SoftTokenBank, plans: list[AugmentationPlan],
-                         counter: PassCounter | None
-                         ) -> tuple[ModelCache, T.TensorNode]:
-    """Pass 2: every site of every sequence in one forward, seeded with the
-    soft tokens. Returns the rows' cache entries and final hidden states
-    (the latents), sequence-major then site-major."""
-    if sum(p.latent_rows for p in plans):
-        parts: list[T.TensorNode] = []
-        for p in plans:
-            parts += [_bank_rows(bank, p.n_latents)] * p.n_sites
-        inputs = T.concat_rows(parts)
-    else:
-        inputs = T.tensor(np.zeros((0, coproc.config.d_model)),
-                          dtype=bank.embeddings.values.dtype)
-    p_off = _offsets([p.cached_len for p in plans])
-    _, entries, hidden = _packed_forward(
-        coproc, inputs, prefix_cache,
-        [build_attention_mask(p, "coprocessor") for p in plans],
-        [[(int(p_off[b]), p.cached_len)] for b, p in enumerate(plans)],
-        [p.coproc_positions() for p in plans], "coprocessor", counter)
-    return entries, hidden
-
-
-def _decode_forward(base: ModelParams, prefix_cache: ModelCache,
+def _decode_forward(base: ModelParams, prefix_caches: list[ModelCache],
                     plans: list[AugmentationPlan], aheads: list[np.ndarray],
                     latent_rows: list[list[T.TensorNode]] | None,
-                    latent_cache: ModelCache | None,
+                    latent_caches: list[ModelCache] | None,
                     counter: PassCounter | None = None
-                    ) -> tuple[T.TensorNode, ModelCache, ModelCache]:
-    """Pass 3: the base decodes every sequence's ahead tokens in one forward.
+                    ) -> list[tuple[T.TensorNode, ModelCache, ModelCache]]:
+    """Pass 3: the base decodes all of a sequence's ahead tokens at once.
 
     Embedding injection feeds latent_rows[b] as input rows ahead of sequence
-    b's tokens. Cache-concat (latent_rows None) appends latent_cache, every
-    sequence's coprocessor entries in order, to the prefix cache and feeds
-    only the ahead tokens. Returns the logits, the cache the rows attended
-    and the rows' new cache entries."""
-    p_off = _offsets([p.cached_len for p in plans])
-    if latent_rows is None:
-        lat_off = _offsets([p.latent_rows for p in plans])
-        context = prefix_cache
-        if lat_off[-1]:
-            context = concat_cache(prefix_cache, latent_cache)
-        inputs = T.concat_rows([embed_tokens(base, a) for a in aheads])
-        blocks = [decode_mask_cache_concat(p) for p in plans]
-        segs = [[(int(p_off[b]), p.cached_len),
-                 (int(p_off[-1] + lat_off[b]), p.latent_rows)]
-                for b, p in enumerate(plans)]
-        positions = [p.decode_positions()[p.latent_rows:] for p in plans]
-    else:
-        context = prefix_cache
-        parts: list[T.TensorNode] = []
-        for rows, a in zip(latent_rows, aheads):
-            parts += rows
-            parts.append(embed_tokens(base, a))
-        inputs = T.concat_rows(parts)
-        blocks = [build_attention_mask(p, "decode") for p in plans]
-        segs = [[(int(p_off[b]), p.cached_len)] for b, p in enumerate(plans)]
-        positions = [p.decode_positions() for p in plans]
-    logits, entries, _ = _packed_forward(base, inputs, context, blocks, segs,
-                                         positions, "decode", counter)
-    return logits, context, entries
+    b's tokens. Cache-concat (latent_rows None) appends latent_caches[b],
+    sequence b's coprocessor entries, to its prefix cache and feeds only the
+    ahead tokens. Returns per sequence the logits, the cache the rows
+    attended and the rows' new cache entries."""
+    out = []
+    for b, (cache, p, a) in enumerate(zip(prefix_caches, plans, aheads)):
+        context, emb = cache, embed_tokens(base, a)
+        if latent_rows is None:
+            if p.latent_rows:
+                context = concat_cache(cache, latent_caches[b])
+            inputs, mask = emb, decode_mask_cache_concat(p)
+            positions = p.decode_positions()[p.latent_rows:]
+        else:
+            inputs = T.concat_rows(latent_rows[b] + [emb])
+            mask = build_attention_mask(p, "decode")
+            positions = p.decode_positions()
+        logits, entries, _ = forward(base, inputs, context, mask, positions)
+        out.append((logits, context, entries))
+    if counter is not None:
+        counter.tick("decode")
+    return out
 
 
 def _run_schedule(mode: InjectionMode, base: ModelParams,
@@ -289,31 +236,26 @@ def _run_schedule(mode: InjectionMode, base: ModelParams,
                   aheads: list[np.ndarray], counter: PassCounter | None
                   ) -> tuple[T.TensorNode, np.ndarray]:
     """The whole schedule for a batch of sequences: 3 passes in dual modes,
-    2 in the soft baseline. Returns the decode logits and a boolean mask of
-    their ahead rows (the rest are re-fed latent rows)."""
-    cache = _prefix_forward(base, prefixes, counter)
-    latent_cache = None
+    2 in the soft baseline. Returns every sequence's decode logits, in
+    order, and a boolean mask of their ahead rows (the rest are re-fed
+    latent rows)."""
+    caches = _prefix_forward(base, prefixes, counter)
+    latent_caches = None
     if mode is InjectionMode.SOFT_EMBEDDING_UNIFIED:
         latent_rows = [[_bank_rows(bank, p.n_latents)] * p.n_sites
                        if p.n_latents else [] for p in plans]
     else:
-        entries, hidden = _coprocessor_forward(coproc, cache, bank, plans,
-                                               counter)
+        latents = _coprocessor_forward(coproc, caches, bank, plans, counter)
         if uses_cache_concat(mode):
-            latent_rows, latent_cache = None, entries
+            latent_rows, latent_caches = None, [e for e, _ in latents]
         else:
-            lat_off = _offsets([p.latent_rows for p in plans])
-            d = coproc.config.d_model
-            latent_rows = [[T.slice_block(hidden, int(lat_off[b]),
-                                          int(lat_off[b + 1]), 0, d)]
-                           if p.latent_rows else []
-                           for b, p in enumerate(plans)]
-    logits, _, _ = _decode_forward(base, cache, plans, aheads, latent_rows,
-                                   latent_cache, counter)
+            latent_rows = [[h] for _, h in latents]
+    decoded = _decode_forward(base, caches, plans, aheads, latent_rows,
+                              latent_caches, counter)
     fed = [0 if latent_rows is None else p.latent_rows for p in plans]
     ahead = np.concatenate([np.repeat([False, True], [n, p.ahead_rows])
                             for n, p in zip(fed, plans)])
-    return logits, ahead
+    return T.concat_rows([logits for logits, _, _ in decoded]), ahead
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +268,7 @@ def base_prefix_pass(base: ModelParams, token_ids,
     ids = np.asarray(token_ids, dtype=np.intp).reshape(-1)
     if ids.size == 0:
         raise ContractError("base_prefix_pass: empty prefix")
-    return _prefix_forward(base, [ids], counter)
+    return _prefix_forward(base, [ids], counter)[0]
 
 
 def coprocessor_pass(coproc: ModelParams, base_cache: ModelCache,
@@ -345,8 +287,8 @@ def coprocessor_pass(coproc: ModelParams, base_cache: ModelCache,
             f"plan wants {plan.n_latents}")
     if bank.d_model != coproc.config.d_model:
         raise ContractError("coprocessor_pass: bank width mismatch")
-    entries, hidden = _coprocessor_forward(coproc, base_cache, bank, [plan],
-                                           counter)
+    [(entries, hidden)] = _coprocessor_forward(coproc, [base_cache], bank,
+                                               [plan], counter)
     nl = plan.n_latents
     blocks = []
     for s, t in enumerate(plan.sites):
@@ -413,11 +355,11 @@ def decode_pass(base: ModelParams, base_cache: ModelCache,
     if uses_cache_concat(mode):
         entries = functools.reduce(concat_cache,
                                    [b.coproc_entries for b in blocks])
-        logits, _, _ = _decode_forward(base, base_cache, [plan], [flat], None,
-                                       entries, counter)
+        [(logits, _, _)] = _decode_forward(base, [base_cache], [plan], [flat],
+                                           None, [entries], counter)
         return _split_site_logits(logits, plan, 0)
-    logits, _, _ = _decode_forward(base, base_cache, [plan], [flat],
-                                   [[b.z for b in blocks]], None, counter)
+    [(logits, _, _)] = _decode_forward(base, [base_cache], [plan], [flat],
+                                       [[b.z for b in blocks]], None, counter)
     return _split_site_logits(logits, plan, plan.latent_rows)
 
 
@@ -432,9 +374,9 @@ def soft_embedding_pass(base: ModelParams, bank: SoftTokenBank,
             f"plan wants {plan.n_latents}")
     cache = base_prefix_pass(base, token_ids, counter)
     flat = _flat_ahead(plan, ahead_token_ids)
-    logits, _, _ = _decode_forward(base, cache, [plan], [flat],
-                                   [[bank.embeddings] * plan.n_sites], None,
-                                   counter)
+    [(logits, _, _)] = _decode_forward(base, [cache], [plan], [flat],
+                                       [[bank.embeddings] * plan.n_sites],
+                                       None, counter)
     return _split_site_logits(logits, plan, plan.latent_rows)
 
 
@@ -454,7 +396,7 @@ def sequential_rollout(params: ModelParams, token_ids, n_latents: int,
     logits, cache, hidden = forward(params, emb, None, causal_mask(ids.size),
                                     positions)
     if counter is not None:
-        counter.tick(ids.size, "rollout_prefix")
+        counter.tick("rollout_prefix")
     passes = 1
     d = params.config.d_model
     for i in range(n_latents):
@@ -466,7 +408,7 @@ def sequential_rollout(params: ModelParams, token_ids, n_latents: int,
         logits, entries, hidden = forward(params, last, cache, mask, pos)
         cache = concat_cache(cache, entries)
         if counter is not None:
-            counter.tick(1, f"rollout_latent_{i}")
+            counter.tick(f"rollout_latent_{i}")
         passes += 1
     v = params.config.vocab_size
     last_row = T.slice_block(logits, logits.values.shape[0] - 1,
@@ -497,7 +439,7 @@ def generate_greedy(mode: InjectionMode, base: ModelParams,
                             n_latents=n_latents, n_ahead=forced.size,
                             cached_len=t)
     cache = base_prefix_pass(base, question_ids)
-    latent_rows = latent_cache = None
+    latent_rows = latent_caches = None
     if mode is InjectionMode.SOFT_EMBEDDING_UNIFIED:
         if bank is None or bank.n_latents != n_latents:
             raise ContractError("generation: soft mode needs a matching bank")
@@ -508,13 +450,13 @@ def generate_greedy(mode: InjectionMode, base: ModelParams,
                 "generation: dual mode needs coprocessor and bank")
         block = coprocessor_pass(coproc, cache, bank, plan)[0]
         if uses_cache_concat(mode):
-            latent_cache = block.coproc_entries
+            latent_caches = [block.coproc_entries]
         else:
             latent_rows = [[block.z]]
 
     # First decode pass: latents plus forced tokens, as in training.
-    logits, context, entries = _decode_forward(base, cache, [plan], [forced],
-                                               latent_rows, latent_cache)
+    [(logits, context, entries)] = _decode_forward(
+        base, [cache], [plan], [forced], latent_rows, latent_caches)
     ctx = concat_cache(detach_cache(context), detach_cache(entries))
     out: list[int] = []
     next_id = int(np.argmax(logits.values[-1]))

@@ -58,14 +58,23 @@ class ModelConfig:
         return self.d_model * self.mlp_ratio
 
 
-def param_names(config: ModelConfig) -> set[str]:
-    names = {"embed", "unembed", "final_ln.g", "final_ln.b"}
+def param_shapes(config: ModelConfig) -> dict[str, tuple[int, int]]:
+    """Every parameter's name and shape, in initialization order."""
+    d, dm, v = config.d_model, config.d_mlp, config.vocab_size
+    shapes = {"embed": (v, d), "unembed": (d, v),
+              "final_ln.g": (1, d), "final_ln.b": (1, d)}
     for i in range(config.n_layers):
         p = f"layers.{i}"
-        names |= {f"{p}.ln1.g", f"{p}.ln1.b", f"{p}.attn.wq", f"{p}.attn.wk",
-                  f"{p}.attn.wv", f"{p}.attn.wo", f"{p}.ln2.g", f"{p}.ln2.b",
-                  f"{p}.mlp.w1", f"{p}.mlp.w2"}
-    return names
+        shapes |= {f"{p}.ln1.g": (1, d), f"{p}.ln1.b": (1, d),
+                   f"{p}.attn.wq": (d, d), f"{p}.attn.wk": (d, d),
+                   f"{p}.attn.wv": (d, d), f"{p}.attn.wo": (d, d),
+                   f"{p}.ln2.g": (1, d), f"{p}.ln2.b": (1, d),
+                   f"{p}.mlp.w1": (d, dm), f"{p}.mlp.w2": (dm, d)}
+    return shapes
+
+
+def param_names(config: ModelConfig) -> set[str]:
+    return set(param_shapes(config))
 
 
 class ModelParams:
@@ -82,31 +91,19 @@ class ModelParams:
     @staticmethod
     def init(config: ModelConfig, role: str, rng: np.random.Generator,
              trainable: bool = True) -> "ModelParams":
-        d, dm = config.d_model, config.d_mlp
         std = 0.02
         resid_std = std / np.sqrt(2.0 * config.n_layers)
-
-        def w(shape, s=std):
-            return T.tensor(rng.normal(0.0, s, shape), dtype=np.float32)
-
-        tensors: dict[str, T.TensorNode] = {
-            "embed": w((config.vocab_size, d)),
-            "unembed": w((d, config.vocab_size)),
-            "final_ln.g": T.tensor(np.ones((1, d)), dtype=np.float32),
-            "final_ln.b": T.tensor(np.zeros((1, d)), dtype=np.float32),
-        }
-        for i in range(config.n_layers):
-            p = f"layers.{i}"
-            tensors[f"{p}.ln1.g"] = T.tensor(np.ones((1, d)), dtype=np.float32)
-            tensors[f"{p}.ln1.b"] = T.tensor(np.zeros((1, d)), dtype=np.float32)
-            tensors[f"{p}.attn.wq"] = w((d, d))
-            tensors[f"{p}.attn.wk"] = w((d, d))
-            tensors[f"{p}.attn.wv"] = w((d, d))
-            tensors[f"{p}.attn.wo"] = w((d, d), resid_std)
-            tensors[f"{p}.ln2.g"] = T.tensor(np.ones((1, d)), dtype=np.float32)
-            tensors[f"{p}.ln2.b"] = T.tensor(np.zeros((1, d)), dtype=np.float32)
-            tensors[f"{p}.mlp.w1"] = w((d, dm))
-            tensors[f"{p}.mlp.w2"] = w((dm, d), resid_std)
+        tensors: dict[str, T.TensorNode] = {}
+        # draws happen in table order, so the table fixes every init
+        for name, shape in param_shapes(config).items():
+            if name.endswith(".g"):
+                vals = np.ones(shape)
+            elif name.endswith(".b"):
+                vals = np.zeros(shape)
+            else:
+                s = resid_std if name.endswith((".wo", ".w2")) else std
+                vals = rng.normal(0.0, s, shape)
+            tensors[name] = T.tensor(vals, dtype=np.float32)
         return ModelParams(config, role, tensors, trainable)
 
     @property
@@ -128,9 +125,6 @@ class ModelParams:
 
     def named_tensors(self) -> list[tuple[str, T.TensorNode]]:
         return sorted(self.tensors.items())
-
-    def n_params(self) -> int:
-        return sum(v.values.size for v in self.tensors.values())
 
     def to_float64(self) -> "ModelParams":
         """Copy with float64 tensors, for gradient checking."""

@@ -409,12 +409,11 @@ def _topo_order(root: TensorNode) -> list[TensorNode]:
     return order
 
 
-def backward(root: TensorNode, reset: bool = True) -> None:
+def backward(root: TensorNode) -> None:
     """Populate .grad on every grad-requiring node reachable from root.
 
-    root must be a 1x1 scalar. With reset (the default) previously stored
-    gradients on the reachable subgraph are cleared first; reset=False
-    accumulates on top of existing gradients.
+    root must be a 1x1 scalar. Gradients previously stored on the reachable
+    subgraph are cleared first.
     """
     if root.values.shape != (1, 1):
         raise ShapeError("backward", "a (1,1) scalar root",
@@ -422,9 +421,8 @@ def backward(root: TensorNode, reset: bool = True) -> None:
     if not root.requires_grad:
         raise ContractError("backward: root does not require grad")
     order = _topo_order(root)
-    if reset:
-        for node in order:
-            node.grad = None
+    for node in order:
+        node.grad = None
     root.grad = np.ones((1, 1), dtype=root.values.dtype)
     for node in reversed(order):
         if node._bwd is not None and node.grad is not None:

@@ -4,15 +4,11 @@ The unit of work is a SequenceItem: a cached prefix, an augmentation plan,
 the flat ahead-token inputs, and their targets. Pretraining slices items
 out of corpus windows (each window is seq_len + 1 tokens so every ahead row
 has an in-window target); fine-tuning builds one single-site item per
-example. run_three_pass hands a minibatch to the engine's packed schedule
-(engine._run_schedule, the one implementation of the passes), which runs
-one forward per pass over every item's rows with a block-diagonal mask.
-Packing changes no result: each item sees only its own rows, which the
-tests check against the per-sequence engine passes. It is not free either:
-the projections and MLP run as larger matrix products, but attention is
-dense over the whole batch, O((B*S)^2) with nearly all of it masked out, so
-at the acceptance gates' sizes a packed batch can be slower than its items
-run one at a time.
+example. run_three_pass hands a minibatch to the engine's schedule
+(engine._run_schedule, the one implementation of the passes). Each pass
+runs one forward per item, over that item's own rows, cache and mask, so a
+batch's logits are exactly its items' logits and attention costs the sum
+of the items' squared lengths. Only the loss is taken over the batch.
 
 Loss is masked cross-entropy over ahead rows only; latent rows are never
 supervised. Optimization is decoupled-weight-decay Adam applied uniformly
@@ -103,7 +99,7 @@ def select_augmentation_sites(seq_len: int, n_sites: int, n_ahead: int,
 
 
 # ---------------------------------------------------------------------------
-# packed three-pass execution
+# three-pass execution
 
 
 @dataclass
@@ -205,8 +201,8 @@ def run_three_pass(system: LatentSystem, items: list[SequenceItem],
     """Run the full schedule for a batch of items and return the masked
     mean cross-entropy over all ahead rows plus the row count.
 
-    Dual modes: 3 full passes. Soft-embedding baseline: 2. The packed
-    graphs keep every sequence independent; see module docstring."""
+    Dual modes: 3 full passes. Soft-embedding baseline: 2. Every sequence
+    is computed on its own; see module docstring."""
     if not items:
         raise ContractError("run_three_pass: empty batch")
     logits, ahead = _run_schedule(

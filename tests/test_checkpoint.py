@@ -246,6 +246,79 @@ def test_rejects_malformed_header_fields(tmp_path):
         load_checkpoint(tmp_path / "bm.bin")
 
 
+def _saved(tmp_path):
+    system, opt = trained_system(InjectionMode.EMBEDDING_FROZEN_BASE, steps=1)
+    path = tmp_path / "ck.bin"
+    save_checkpoint(path, system, opt, step=1, seed=50)
+    return path
+
+
+def _edit_entries(fn):
+    """A header patch that applies fn to every tensor table entry."""
+    def patch(h):
+        for t in h["tensors"]:
+            fn(t)
+        return h
+    return patch
+
+
+def _where(role, tensor, **changes):
+    return _edit_entries(lambda t: t.update(changes)
+                         if (t["role"], t["name"]) == (role, tensor) else None)
+
+
+# each new shape keeps the element count, so the payload still lines up
+@pytest.mark.parametrize("role,name,shape", [
+    ("base", "unembed", [13, 16]),                  # (d_model, vocab) reversed
+    ("coprocessor", "layers.1.mlp.w1", [64, 16]),
+    ("bank", "soft", [4, 8]),                       # header says (2, 16)
+])
+def test_rejects_tensor_of_the_wrong_shape(tmp_path, role, name, shape):
+    _patch_header(_saved(tmp_path), tmp_path / "bad.bin",
+                  _where(role, name, shape=shape))
+    with pytest.raises(DataFormatError, match="has shape"):
+        load_checkpoint(tmp_path / "bad.bin")
+
+
+@pytest.mark.parametrize("change", [
+    dict(name="bank.other"),        # m and v for a tensor that does not exist
+    dict(shape=[4, 8]),             # m and v of the wrong shape
+])
+def test_rejects_moments_that_match_no_trainable_tensor(tmp_path, change):
+    patch = _edit_entries(lambda t: t.update(change)
+                          if t["role"] in ("opt.m", "opt.v")
+                          and t["name"] == "bank.soft" else None)
+    _patch_header(_saved(tmp_path), tmp_path / "bad.bin", patch)
+    with pytest.raises(DataFormatError, match="optimizer moments"):
+        load_checkpoint(tmp_path / "bad.bin")
+
+
+def test_rejects_m_and_v_for_different_tensors(tmp_path):
+    _patch_header(_saved(tmp_path), tmp_path / "bad.bin",
+                  _where("opt.m", "bank.soft", name="bank.other"))
+    with pytest.raises(DataFormatError, match="different tensors"):
+        load_checkpoint(tmp_path / "bad.bin")
+
+
+@pytest.mark.parametrize("shift", [-4, 4])
+def test_rejects_overlapping_or_gapped_offsets(tmp_path, shift):
+    def move_bank(t):
+        if t["role"] == "bank":
+            t["offset"] += shift
+
+    _patch_header(_saved(tmp_path), tmp_path / "bad.bin",
+                  _edit_entries(move_bank))
+    with pytest.raises(DataFormatError, match="starts at payload byte"):
+        load_checkpoint(tmp_path / "bad.bin")
+
+
+def test_rejects_trailing_bytes(tmp_path):
+    path = _saved(tmp_path)
+    path.write_bytes(path.read_bytes() + bytes(4))
+    with pytest.raises(DataFormatError, match="payload has"):
+        load_checkpoint(path)
+
+
 def test_save_rejects_non_float32_tensor(tmp_path):
     system, opt = trained_system(InjectionMode.SOFT_EMBEDDING_UNIFIED, steps=1)
     node = system.base.tensors["embed"]

@@ -442,6 +442,15 @@ def test_truncated_checkpoint_is_contract_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_checkpoint_with_trailing_bytes_is_contract_error(
+        pretrained, corpus_file, tmp_path, capsys):
+    path = tmp_path / "ck.bin"
+    path.write_bytes(pretrained.read_bytes() + bytes(4))
+    assert main(["eval", "--checkpoint", str(path),
+                 "--data", str(corpus_file)]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
 def test_unknown_config_key_is_contract_error(pretrain_ini, capsys):
     assert main(["pretrain", "--config", pretrain_ini,
                  "--set", "train.bogus_key=1"]) == 1

@@ -11,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 import kvlatent.tensor as T
 from kvlatent.engine import (TRAINING_MODES, InjectionMode, PassCounter,
-                             base_prefix_pass, coprocessor_pass, decode_pass,
+                             _run_schedule, base_prefix_pass,
+                             coprocessor_pass, decode_pass,
                              soft_embedding_pass)
 from kvlatent.errors import ContractError, NumericError
 from kvlatent.masks import AugmentationPlan
@@ -208,6 +209,33 @@ def test_three_pass_counter_by_mode():
         counter = PassCounter()
         run_three_pass(system, make_items(2, seed=10), counter)
         assert counter.full_passes == expect, mode
+
+
+@pytest.mark.parametrize("mode", TRAINING_MODES)
+def test_batch_is_exactly_its_items(mode):
+    """A batch's decode logits are, bit for bit, its items' logits run one
+    at a time, and the batch still counts one tick per pass."""
+    system = init_system(mode, CFG, 3, seed=11)
+    rng = np.random.default_rng(12)
+    items = [build_finetune_item(rng.integers(0, 13, q), rng.integers(0, 13, a),
+                                 n, eos_id=12)
+             for q, a, n in ((4, 3, 3), (7, 2, 0), (3, 5, 2), (9, 1, 1),
+                             (5, 4, 3))]
+
+    def schedule(batch, counter=None):
+        logits, _ = _run_schedule(mode, system.base, system.coproc,
+                                  system.bank, [it.plan for it in batch],
+                                  [it.prefix_ids for it in batch],
+                                  [it.ahead_inputs for it in batch], counter)
+        return logits.values
+
+    counter = PassCounter()
+    batched = schedule(items, counter)
+    one_by_one = np.concatenate([schedule([it]) for it in items])
+    assert batched.tobytes() == one_by_one.tobytes()
+    assert counter.log == (["base_prefix", "decode"]
+                           if mode is InjectionMode.SOFT_EMBEDDING_UNIFIED
+                           else ["base_prefix", "coprocessor", "decode"])
 
 
 # ---------------------------------------------------------------------------
